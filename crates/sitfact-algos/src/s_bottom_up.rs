@@ -5,7 +5,7 @@ use crate::bottom_up::BottomUp;
 use crate::common::{
     dominates_measures, partition_measures, AlgoParams, ConstraintCache, TraversalScratch,
 };
-use crate::traits::Discovery;
+use crate::traits::{AlgorithmKind, Discovery};
 use sitfact_core::{
     BoundMask, Constraint, DiscoveryConfig, Schema, SkylinePair, SubspaceMask, Tuple, TupleId,
 };
@@ -171,7 +171,11 @@ impl<S: SkylineStore> SBottomUp<S> {
 
 impl<S: SkylineStore> Discovery for SBottomUp<S> {
     fn name(&self) -> &'static str {
-        "SBottomUp"
+        if S::FILE_BACKED {
+            AlgorithmKind::FsBottomUp.name()
+        } else {
+            AlgorithmKind::SBottomUp.name()
+        }
     }
 
     fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {

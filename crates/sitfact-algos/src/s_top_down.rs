@@ -5,7 +5,7 @@ use crate::common::{
     dominates_measures, partition_measures, AlgoParams, ConstraintCache, TraversalScratch,
 };
 use crate::top_down::{demote_stored_tuple, skyline_cardinality_from_maximal};
-use crate::traits::Discovery;
+use crate::traits::{AlgorithmKind, Discovery};
 use sitfact_core::{
     BoundMask, Constraint, DiscoveryConfig, Schema, SkylinePair, SubspaceMask, Tuple, TupleId,
 };
@@ -239,7 +239,11 @@ impl<S: SkylineStore> STopDown<S> {
 
 impl<S: SkylineStore> Discovery for STopDown<S> {
     fn name(&self) -> &'static str {
-        "STopDown"
+        if S::FILE_BACKED {
+            AlgorithmKind::FsTopDown.name()
+        } else {
+            AlgorithmKind::STopDown.name()
+        }
     }
 
     fn discover_at(&mut self, table: &Table, t: &Tuple, t_id: TupleId) -> Vec<SkylinePair> {

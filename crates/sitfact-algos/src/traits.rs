@@ -238,6 +238,39 @@ mod tests {
         assert_eq!(names.len(), dedup.len());
     }
 
+    /// The generic shared-computation algorithms report the paper's `FS*`
+    /// names when instantiated over the file-backed store, so a divergence
+    /// of a file-backed variant is blamed on it and not on its in-memory twin.
+    #[test]
+    fn instance_names_follow_the_store() {
+        use crate::{FsBottomUp, FsTopDown, SBottomUp, STopDown};
+        use sitfact_core::{Direction, DiscoveryConfig, SchemaBuilder};
+        use sitfact_storage::FileSkylineStore;
+        let schema = SchemaBuilder::new("s")
+            .dimension("d")
+            .measure("m", Direction::HigherIsBetter)
+            .build()
+            .unwrap();
+        let config = DiscoveryConfig::unrestricted();
+        let dir = std::env::temp_dir().join(format!("sitfact-algo-names-{}", std::process::id()));
+        let fs_bu = FsBottomUp::with_store(
+            &schema,
+            config,
+            FileSkylineStore::new(dir.join("bu")).unwrap(),
+        );
+        let fs_td = FsTopDown::with_store(
+            &schema,
+            config,
+            FileSkylineStore::new(dir.join("td")).unwrap(),
+        );
+        assert_eq!(fs_bu.name(), "FSBottomUp");
+        assert_eq!(fs_td.name(), "FSTopDown");
+        assert_eq!(SBottomUp::new(&schema, config).name(), "SBottomUp");
+        assert_eq!(STopDown::new(&schema, config).name(), "STopDown");
+        drop((fs_bu, fs_td));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn statefulness_classification() {
         assert!(!AlgorithmKind::BruteForce.is_incremental());

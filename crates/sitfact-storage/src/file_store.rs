@@ -46,6 +46,12 @@ pub struct FileSkylineStore {
 impl FileSkylineStore {
     /// Creates a store rooted at `dir` (created if missing; existing cell
     /// files from a previous run are ignored).
+    ///
+    /// The directory must be owned by one live store at a time: the store
+    /// trusts its in-memory index of non-empty cells and reads a missing or
+    /// unreadable cell file as an empty cell, so another store (or process)
+    /// writing or deleting files in the same directory silently corrupts its
+    /// skylines. Give concurrent stores distinct directories.
     pub fn new(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
@@ -294,6 +300,8 @@ impl Drop for FileSkylineStore {
 }
 
 impl SkylineStore for FileSkylineStore {
+    const FILE_BACKED: bool = true;
+
     fn read(
         &mut self,
         constraint: &Constraint,

@@ -60,6 +60,11 @@ pub struct StoreCell {
 /// All methods take `&mut self` because the file-backed implementation keeps
 /// per-cell buffers and I/O counters that mutate even on reads.
 pub trait SkylineStore {
+    /// Whether the cells live on disk (the paper's Section VI-C backend).
+    /// Algorithms generic over the store report the paper's `FS*` names for
+    /// file-backed instantiations.
+    const FILE_BACKED: bool = false;
+
     /// Reads the entries of cell `(constraint, subspace)`; the returned value
     /// is a snapshot (mutations go through [`SkylineStore::insert`] /
     /// [`SkylineStore::remove`], which copy-on-write under the hood), so the

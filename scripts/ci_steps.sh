@@ -19,7 +19,7 @@ CARGO=${CARGO:-cargo}
 
 # Ordered step registry. Adding a step here without wiring it into ci.yml
 # (or vice versa) fails `parity`.
-CI_STEPS=(fmt clippy build test check-targets doc analyze quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke serve-smoke wal-smoke)
+CI_STEPS=(fmt clippy build test test-parallel check-targets doc analyze quickstart fig-ingest-smoke fig-shard-smoke fig-postings-smoke fig-serve-smoke fig-wal-smoke fig-window-smoke serve-smoke wal-smoke)
 
 run_step() {
   echo "==> $1"
@@ -28,6 +28,13 @@ run_step() {
     clippy) $CARGO clippy --workspace --all-targets -- -D warnings ;;
     build) $CARGO build --release --workspace ;;
     test) $CARGO test --workspace -q ;;
+    test-parallel)
+      # The same suite with many more test threads than a small runner has
+      # cores, so tests that share a process-wide resource (a scratch
+      # directory, a port, a file name) collide here rather than only on
+      # larger hosts. A single-core box runs the plain `test` step serially
+      # and would hide such races.
+      $CARGO test --workspace -q -- --test-threads=16 ;;
     check-targets) $CARGO check --workspace --examples --benches --bins ;;
     doc) RUSTDOCFLAGS="-D warnings" $CARGO doc --workspace --no-deps --quiet ;;
     analyze)

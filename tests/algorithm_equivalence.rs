@@ -8,6 +8,36 @@ use situational_facts::datagen::nba::{NbaConfig, NbaGenerator};
 use situational_facts::datagen::weather::{WeatherConfig, WeatherGenerator};
 use situational_facts::datagen::{encode_row, DataGenerator};
 use situational_facts::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A file-store directory owned by one call of
+/// [`assert_all_algorithms_agree`], removed when dropped — also when an
+/// assertion panics.
+///
+/// The test runner executes tests on parallel threads of one process, and a
+/// `FileSkylineStore` directory must be owned by one live store at a time, so
+/// the name combines the process id with a process-wide call counter: two
+/// tests streaming the same schema never share (or delete) each other's cell
+/// files.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("sitfact-eq-{tag}-{}-{call}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Streams `n` rows from `generator` through every algorithm and asserts that
 /// each produces exactly the brute-force fact set at every arrival.
@@ -20,18 +50,10 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
     let mut table = Table::new(schema.clone());
 
     let mut reference = BruteForce::new(&schema, config);
-    let fs_dir_bu = std::env::temp_dir().join(format!(
-        "sitfact-eq-bu-{}-{}",
-        std::process::id(),
-        schema.name()
-    ));
-    let fs_dir_td = std::env::temp_dir().join(format!(
-        "sitfact-eq-td-{}-{}",
-        std::process::id(),
-        schema.name()
-    ));
-    let _ = std::fs::remove_dir_all(&fs_dir_bu);
-    let _ = std::fs::remove_dir_all(&fs_dir_td);
+    // Declared before `algorithms` so the stores (which flush on drop) go
+    // first and the directories are removed after them.
+    let fs_dir_bu = ScratchDir::new("bu");
+    let fs_dir_td = ScratchDir::new("td");
 
     let mut algorithms: Vec<Box<dyn Discovery>> = vec![
         Box::new(BaselineSeq::new(&schema, config)),
@@ -44,12 +66,12 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
         Box::new(FsBottomUp::with_store(
             &schema,
             config,
-            FileSkylineStore::new(&fs_dir_bu).unwrap(),
+            FileSkylineStore::new(&fs_dir_bu.0).unwrap(),
         )),
         Box::new(FsTopDown::with_store(
             &schema,
             config,
-            FileSkylineStore::new(&fs_dir_td).unwrap(),
+            FileSkylineStore::new(&fs_dir_td.0).unwrap(),
         )),
     ];
 
@@ -72,10 +94,6 @@ fn assert_all_algorithms_agree<G: DataGenerator>(
         }
         table.append(tuple).unwrap();
     }
-
-    drop(algorithms);
-    let _ = std::fs::remove_dir_all(&fs_dir_bu);
-    let _ = std::fs::remove_dir_all(&fs_dir_td);
 }
 
 #[test]
